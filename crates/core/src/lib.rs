@@ -58,6 +58,7 @@
 
 pub mod config;
 pub mod cost;
+mod lenidx;
 pub mod operator;
 pub mod phonidx;
 pub mod qgram_plan;

@@ -12,6 +12,7 @@
 //!   paper's future-work direction (§6).
 
 use crate::config::MatchConfig;
+use crate::lenidx::LengthIndex;
 use crate::operator::LexEqual;
 use crate::phonidx::PhoneticIndex;
 use crate::qgram_plan::{QgramFilter, QgramMode};
@@ -171,6 +172,9 @@ pub struct NameStore {
     /// from a v1 snapshot image) — the embedding screen bypasses empty
     /// rows until [`build_embeddings`](Self::build_embeddings) fills them.
     embeds: Vec<Bytes>,
+    /// The cluster-id strings again, grouped by length — what the scan
+    /// screens (DESIGN §5g). Maintained by every append, never persisted.
+    lengths: LengthIndex,
     qgram: Option<QgramFilter>,
     phonidx: Option<PhoneticIndex>,
     bktree: Option<PhonemeBkTree>,
@@ -186,6 +190,7 @@ impl NameStore {
             phonemes: Vec::new(),
             cluster_ids: Vec::new(),
             embeds: Vec::new(),
+            lengths: LengthIndex::default(),
             qgram: None,
             phonidx: None,
             bktree: None,
@@ -266,13 +271,10 @@ impl NameStore {
     pub fn extend_transformed(&mut self, entries: Vec<NameEntry>) -> Range<u32> {
         let start = self.texts.len() as u32;
         for e in entries {
-            self.cluster_ids
-                .push(Bytes::from(self.operator.cluster_ids(&e.phonemes)));
-            self.embeds
-                .push(Bytes::from(self.operator.embed_for(&e.phonemes).to_vec()));
-            self.phonemes.push(e.phonemes);
-            self.languages.push(e.language);
-            self.texts.push(StoredText::Owned(e.text));
+            let clusters = Bytes::from(self.operator.cluster_ids(&e.phonemes));
+            let embed = Bytes::from(self.operator.embed_for(&e.phonemes).to_vec());
+            let text = StoredText::Owned(e.text);
+            self.push_row(text, e.language, e.phonemes, clusters, embed);
         }
         if start != self.texts.len() as u32 {
             self.qgram = None;
@@ -327,12 +329,13 @@ impl NameStore {
             }
             _ => return Err(SharedEntryError::EmbedMismatch),
         }
-        let id = self.texts.len() as u32;
-        self.cluster_ids.push(Bytes::Shared(clusters));
-        self.embeds.push(Bytes::Shared(embed));
-        self.phonemes.push(phonemes);
-        self.languages.push(language);
-        self.texts.push(StoredText::Shared(text));
+        let id = self.push_row(
+            StoredText::Shared(text),
+            language,
+            phonemes,
+            Bytes::Shared(clusters),
+            Bytes::Shared(embed),
+        );
         self.qgram = None;
         self.phonidx = None;
         self.bktree = None;
@@ -370,15 +373,37 @@ impl NameStore {
             embed,
         } = entry;
         let phonemes = PhonemeString::from_shared_prevalidated(phonemes);
-        let id = self.texts.len() as u32;
-        self.cluster_ids.push(Bytes::Shared(clusters));
-        self.embeds.push(Bytes::Shared(embed));
-        self.phonemes.push(phonemes);
-        self.languages.push(language);
-        self.texts.push(StoredText::Shared(text));
+        let id = self.push_row(
+            StoredText::Shared(text),
+            language,
+            phonemes,
+            Bytes::Shared(clusters),
+            Bytes::Shared(embed),
+        );
         self.qgram = None;
         self.phonidx = None;
         self.bktree = None;
+        id
+    }
+
+    /// Append one row to every column and to the length index; returns
+    /// its id. The one place rows are added, so the columns and the
+    /// index can never disagree.
+    fn push_row(
+        &mut self,
+        text: StoredText,
+        language: Language,
+        phonemes: PhonemeString,
+        clusters: Bytes,
+        embed: Bytes,
+    ) -> u32 {
+        let id = self.texts.len() as u32;
+        self.lengths.push(id, clusters.as_slice());
+        self.cluster_ids.push(clusters);
+        self.embeds.push(embed);
+        self.phonemes.push(phonemes);
+        self.languages.push(language);
+        self.texts.push(text);
         id
     }
 
@@ -570,16 +595,19 @@ impl NameStore {
         match method {
             SearchMethod::Scan => {
                 let mut ids = Vec::new();
-                let verifications = verifier.verify_ids(
-                    &self.operator,
-                    &prepared,
-                    &self.phonemes,
-                    Some(&self.cluster_ids),
-                    Some(&self.embeds),
-                    0..self.phonemes.len() as u32,
-                    e,
-                    &mut ids,
-                );
+                let (op, corpus) = (&self.operator, &self.phonemes);
+                let (clusters, embeds) = (Some(&self.cluster_ids[..]), Some(&self.embeds[..]));
+                // Pattern-less queries (empty, or past the Myers window)
+                // have no cluster screen for the buckets to run.
+                let verifications = if prepared.screens_active() {
+                    let buckets = self.lengths.buckets();
+                    verifier.scan_buckets(
+                        op, &prepared, corpus, clusters, embeds, buckets, e, &mut ids,
+                    )
+                } else {
+                    let all = 0..corpus.len() as u32;
+                    verifier.verify_ids(op, &prepared, corpus, clusters, embeds, all, e, &mut ids)
+                };
                 SearchResult { ids, verifications }
             }
             SearchMethod::Qgram => {

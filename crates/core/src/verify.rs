@@ -43,6 +43,13 @@ pub const MAX_LANES: usize = lexequal_matcher::MAX_LANES;
 /// [`BatchVerifier::matches_lanes`]).
 pub type Lane<'a> = (&'a PhonemeString, Option<&'a [u8]>, Option<&'a [u8]>);
 
+/// The strict-predicate distance budget for a pair whose shorter side
+/// has `smaller` symbols — the same arithmetic as `matches_phonemes`,
+/// shared by every kernel so their verdicts stay bit-identical.
+fn budget(e: f64, smaller: usize) -> f64 {
+    (e * smaller as f64 - 1e-9).max(1e-12)
+}
+
 /// A query preprocessed for repeated verification: its cluster-id and
 /// phoneme-id vectors and the two Myers bitmask tables (phoneme ids,
 /// cluster ids).
@@ -212,9 +219,7 @@ impl Verifier {
             self.counters.fast_accept += 1;
             return true;
         }
-        let smaller = cand.len().min(query.phonemes.len());
-        // Same strict-predicate budget as `matches_phonemes`.
-        let k = (e * smaller as f64 - 1e-9).max(1e-12);
+        let k = budget(e, cand.len().min(query.phonemes.len()));
         // Length filter (min_indel is 1): mirrors the first check inside
         // `within_distance`, hoisted here so it counts as a fast reject.
         if cand.len().abs_diff(query.phonemes.len()) as f64 > k {
@@ -352,6 +357,9 @@ pub struct BatchVerifier {
     scr_surv: [usize; MAX_LANES],
     scr_dp: [usize; MAX_LANES],
     scr_emb: [usize; MAX_LANES],
+    /// Ids surviving [`scan_buckets`](Self::scan_buckets)' cluster
+    /// screen, kept across calls so a scan allocates nothing once warm.
+    scan_surv: Vec<u32>,
 }
 
 impl Default for BatchVerifier {
@@ -389,6 +397,7 @@ impl BatchVerifier {
             scr_surv: [0; MAX_LANES],
             scr_dp: [0; MAX_LANES],
             scr_emb: [0; MAX_LANES],
+            scan_surv: Vec::new(),
         }
     }
 
@@ -467,9 +476,7 @@ impl BatchVerifier {
                 verdicts[l] = true;
                 continue;
             }
-            let smaller = cand.len().min(query.phonemes.len());
-            // Same strict-predicate budget as `matches_phonemes`.
-            let k = (e * smaller as f64 - 1e-9).max(1e-12);
+            let k = budget(e, cand.len().min(query.phonemes.len()));
             ks[l] = k;
             if cand.len().abs_diff(query.phonemes.len()) as f64 > k {
                 self.counters.fast_reject += 1;
@@ -679,9 +686,7 @@ impl BatchVerifier {
                 hits.push(id);
                 continue;
             }
-            let smaller = cand.len().min(query.phonemes.len());
-            // Same strict-predicate budget as `matches_phonemes`.
-            let k = (e * smaller as f64 - 1e-9).max(1e-12);
+            let k = budget(e, cand.len().min(query.phonemes.len()));
             if cand.len().abs_diff(query.phonemes.len()) as f64 > k {
                 self.counters.fast_reject += 1;
                 continue;
@@ -714,6 +719,92 @@ impl BatchVerifier {
             self.flush_ids(op, query, corpus, cluster_ids, embeds, ids, ks, hits);
         }
         verified
+    }
+
+    /// Scan a whole corpus through its length buckets (DESIGN §5g):
+    /// the same hits, in the same ascending id order, and the same
+    /// `fast_accept`/`fast_reject`/`full_dp`/`bypass` totals as
+    /// [`verify_ids`](Self::verify_ids) over every id — but most rows
+    /// are settled without entering the sink. Returns the number of
+    /// rows covered (every bucket's size).
+    ///
+    /// Each bucket is `(len, arena, ids)`: `ids` lists (ascending) every
+    /// corpus entry `len` symbols long, and `arena` holds their cluster
+    /// ids (`op.cluster_ids`) back to back at stride `len`. Per bucket:
+    ///
+    /// 1. the length filter runs once — all rows share `len` and so the
+    ///    budget `k` — and a bucket outside the window is credited to
+    ///    `fast_reject` wholesale;
+    /// 2. the cluster Myers screen runs over [`width`](Self::width)
+    ///    equal-length arena slices at a time (lock-step lanes, no
+    ///    tails), rejecting with the kernel's own bound;
+    /// 3. survivors are sorted and verified by
+    ///    [`verify_ids`](Self::verify_ids), which re-derives each
+    ///    survivor's disposition from scratch.
+    ///
+    /// Rows this pass rejects never reach the embedding screen or a
+    /// batch, so only the `embed_*` and [`BatchCounters`] differ from
+    /// the row-at-a-time stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query has no Myers patterns (see
+    /// [`PreparedQuery::screens_active`]); such queries take the plain
+    /// id stream.
+    #[allow(clippy::too_many_arguments)]
+    pub fn scan_buckets<'b, C, E>(
+        &mut self,
+        op: &LexEqual,
+        query: &PreparedQuery,
+        corpus: &[PhonemeString],
+        cluster_ids: Option<&[C]>,
+        embeds: Option<&[E]>,
+        buckets: impl IntoIterator<Item = (usize, &'b [u8], &'b [u32])>,
+        e: f64,
+        hits: &mut Vec<u32>,
+    ) -> usize
+    where
+        C: AsRef<[u8]>,
+        E: AsRef<[u8]>,
+    {
+        let clus = query
+            .clus_pattern
+            .as_ref()
+            .expect("scan_buckets needs a query with screens (see screens_active)");
+        let m = query.phonemes.len();
+        let scale = op.clus_reject_scale();
+        let mut survivors = std::mem::take(&mut self.scan_surv);
+        survivors.clear();
+        let mut rows = 0;
+        for (len, arena, ids) in buckets {
+            rows += ids.len();
+            let k = budget(e, len.min(m));
+            if len.abs_diff(m) as f64 > k {
+                self.counters.fast_reject += ids.len() as u64;
+                continue;
+            }
+            let mut texts: [&[u8]; MAX_LANES] = [&[]; MAX_LANES];
+            for (c, chunk) in ids.chunks(self.width).enumerate() {
+                let base = c * self.width * len;
+                for (slot, text) in texts[..chunk.len()].iter_mut().enumerate() {
+                    let at = base + slot * len;
+                    *text = &arena[at..at + len];
+                }
+                clus.distance_batch(&texts[..chunk.len()], &mut self.scr_dists, self.level);
+                for (slot, &id) in chunk.iter().enumerate() {
+                    if self.scr_dists[slot] as f64 * scale > k + 1e-12 {
+                        self.counters.fast_reject += 1;
+                    } else {
+                        survivors.push(id);
+                    }
+                }
+            }
+        }
+        survivors.sort_unstable();
+        let ids = survivors.iter().copied();
+        self.verify_ids(op, query, corpus, cluster_ids, embeds, ids, e, hits);
+        self.scan_surv = survivors;
+        rows
     }
 
     /// Flush one batch of pre-screened ids (each with its precomputed

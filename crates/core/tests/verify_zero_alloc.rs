@@ -253,3 +253,71 @@ fn warmed_up_batched_verification_does_not_allocate() {
         counters.total() / 2
     );
 }
+
+/// The bucketed scan (DESIGN §5g) keeps the guarantee too: its survivor
+/// list lives in the verifier, so once warm a full sweep over
+/// equal-length cluster arenas allocates nothing.
+#[test]
+fn warmed_up_bucketed_scan_does_not_allocate() {
+    let op = LexEqual::new(MatchConfig::default().with_intra_cluster_cost(0.25));
+    let strings = corpus(0x0a11_0c5e, 60);
+    let cluster_ids: Vec<Vec<u8>> = strings.iter().map(|s| op.cluster_ids(s)).collect();
+    let embeds: Vec<Vec<u8>> = strings.iter().map(|s| op.embed_for(s).to_vec()).collect();
+    // One (len, arena, ids) bucket per length, ids ascending.
+    let mut buckets: Vec<(usize, Vec<u8>, Vec<u32>)> = Vec::new();
+    for len in 0..=70 {
+        let ids: Vec<u32> = (0..strings.len() as u32)
+            .filter(|&i| strings[i as usize].len() == len)
+            .collect();
+        if !ids.is_empty() {
+            let arena = ids
+                .iter()
+                .flat_map(|&i| cluster_ids[i as usize].clone())
+                .collect();
+            buckets.push((len, arena, ids));
+        }
+    }
+    let q = strings
+        .iter()
+        .find(|s| (1..=64).contains(&s.len()))
+        .unwrap();
+    let prepared = op.prepare_query(q);
+    let mut verifier = BatchVerifier::new();
+    let mut hits = Vec::with_capacity(strings.len());
+    let sweep = |verifier: &mut BatchVerifier, hits: &mut Vec<u32>| {
+        let mut total = 0;
+        for e in [0.0, 0.15, 0.35, 0.5, 1.0] {
+            let views = buckets
+                .iter()
+                .map(|(l, a, i)| (*l, a.as_slice(), i.as_slice()));
+            let rows = verifier.scan_buckets(
+                &op,
+                &prepared,
+                &strings,
+                Some(&cluster_ids),
+                Some(&embeds),
+                views,
+                e,
+                hits,
+            );
+            assert_eq!(rows, strings.len());
+            total += hits.len();
+            hits.clear();
+        }
+        total
+    };
+
+    let warm_hits = sweep(&mut verifier, &mut hits);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNT_THIS_THREAD.with(|c| c.set(true));
+    let total = sweep(&mut verifier, &mut hits);
+    COUNT_THIS_THREAD.with(|c| c.set(false));
+    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(total, warm_hits);
+    assert!(total > 0, "corpus must produce some matches");
+    assert_eq!(
+        delta, 0,
+        "bucketed scan allocated {delta} times after warm-up"
+    );
+}

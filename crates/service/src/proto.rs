@@ -61,6 +61,7 @@ use crate::metrics::{method_index, method_name, ALL_METHODS};
 use crate::service::{AutoMatchRequest, MatchOutcome, MatchRequest, StatsSnapshot};
 use lexequal::{Language, QgramMode, SearchMethod};
 use lexequal_g2p::Script;
+use std::fmt::Write as _;
 
 /// Why incremental framing gave up on a connection's byte stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -425,19 +426,24 @@ pub fn format_outcome(out: &MatchOutcome) -> String {
             ids,
             verifications,
         } => {
-            let ids = ids
-                .iter()
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(
-                "OK n={} verified={} method={} e={} ids={}",
-                ids.split(',').filter(|s| !s.is_empty()).count(),
+            // One pass into one buffer: ids average under 6 digits plus
+            // a comma, so this rarely regrows.
+            let mut line = String::with_capacity(64 + 7 * ids.len());
+            let _ = write!(
+                line,
+                "OK n={} verified={} method={} e={} ids=",
+                ids.len(),
                 verifications,
                 method_name(*method),
                 threshold,
-                ids,
-            )
+            );
+            for (i, id) in ids.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
+                }
+                let _ = write!(line, "{id}");
+            }
+            line
         }
         MatchOutcome::NoResource(lang) => format!("NORESOURCE {lang}"),
         MatchOutcome::NotBuilt(method) => format!("NOTBUILT {}", method_name(*method)),
@@ -884,5 +890,43 @@ mod tests {
             format_outcome(&MatchOutcome::NotBuilt(SearchMethod::BkTree)),
             "NOTBUILT bktree"
         );
+    }
+
+    /// The join-then-resplit rendering `format_outcome` used to do,
+    /// kept as the reference the single-pass writer must reproduce.
+    fn joined_rendering(method: SearchMethod, e: f64, ids: &[u32], verified: usize) -> String {
+        let ids = ids
+            .iter()
+            .map(|i| i.to_string())
+            .collect::<Vec<_>>()
+            .join(",");
+        format!(
+            "OK n={} verified={} method={} e={} ids={}",
+            ids.split(',').filter(|s| !s.is_empty()).count(),
+            verified,
+            method_name(method),
+            e,
+            ids,
+        )
+    }
+
+    #[test]
+    fn single_pass_outcome_matches_joined_rendering() {
+        let many: Vec<u32> = (0..1000u32).map(|i| i * 7919 % 100_003).collect();
+        let cases: [(&[u32], SearchMethod, f64); 4] = [
+            (&[], SearchMethod::Scan, 0.35),
+            (&[42], SearchMethod::PhoneticIndex, 0.0),
+            (&[0, u32::MAX], SearchMethod::Qgram, 0.25),
+            (&many, SearchMethod::BkTree, 0.45),
+        ];
+        for (ids, method, e) in cases {
+            let got = format_outcome(&MatchOutcome::Matches {
+                method,
+                threshold: e,
+                ids: ids.to_vec(),
+                verifications: 20_418,
+            });
+            assert_eq!(got, joined_rendering(method, e, ids, 20_418));
+        }
     }
 }

@@ -130,6 +130,27 @@ fn wait_stats(server: &Server, what: &str, pred: impl Fn(&str) -> bool) -> Strin
     }
 }
 
+/// The primary's WAL head: the LSN of its last durable record.
+fn wal_lsn(primary: &Server) -> u64 {
+    let stats = primary.request("STATS");
+    stat(&stats, "wal_lsn")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no wal_lsn in primary STATS: {stats}"))
+}
+
+/// Wait until the replica is connected and has applied every record up
+/// to `lsn`. `repl_lag=0` alone is not enough: the lag is measured
+/// against the last head the replica has *heard of*, so right after a
+/// write it still reads 0 until the record's frame arrives.
+fn wait_applied(replica: &Server, what: &str, lsn: u64) -> String {
+    wait_stats(replica, what, |s| {
+        stat(s, "repl_connected") == Some("1")
+            && stat(s, "repl_lsn")
+                .and_then(|v| v.parse::<u64>().ok())
+                .is_some_and(|applied| applied >= lsn)
+    })
+}
+
 /// The MATCH battery both sides must answer identically. Every name is
 /// plain English (always G2P-transformable) and every access path is
 /// covered.
@@ -218,11 +239,11 @@ fn replica_and_recovered_primary_answer_byte_identically() {
 
     let before_crash = battery(&primary);
 
-    // The replica reports its lag and drains it to zero.
-    let rstats = wait_stats(&replica, "replica catch-up", |s| {
-        stat(s, "repl_lag") == Some("0") && stat(s, "repl_connected") == Some("1")
-    });
+    // The replica applies everything the primary has logged and
+    // reports its lag drained to zero.
+    let rstats = wait_applied(&replica, "replica catch-up", wal_lsn(&primary));
     assert_eq!(stat(&rstats, "repl_role"), Some("replica"), "{rstats}");
+    assert_eq!(stat(&rstats, "repl_lag"), Some("0"), "{rstats}");
     assert_eq!(battery(&replica), before_crash, "replica diverged");
 
     // Mutations bounce with a redirect naming the primary.
@@ -263,16 +284,12 @@ fn replica_and_recovered_primary_answer_byte_identically() {
     assert_eq!(battery(&revived), before_crash, "recovery diverged");
 
     // The replica reconnects to the revived primary and stays converged.
-    wait_stats(&replica, "replica reconnect", |s| {
-        stat(s, "repl_connected") == Some("1") && stat(s, "repl_lag") == Some("0")
-    });
+    wait_applied(&replica, "replica reconnect", wal_lsn(&revived));
     assert_eq!(battery(&replica), before_crash, "post-recovery divergence");
 
     // And the stream still works: a fresh mutation reaches the replica.
     assert!(revived.request("ADD en Epilogue").starts_with("OK "));
-    wait_stats(&replica, "post-recovery apply", |s| {
-        stat(s, "repl_lag") == Some("0")
-    });
+    wait_applied(&replica, "post-recovery apply", wal_lsn(&revived));
     let q = "MATCH en scan 0.45 Epilogue";
     assert_eq!(replica.request(q), revived.request(q));
 }
@@ -306,9 +323,7 @@ fn threaded_mode_serves_replication_too() {
     ]);
     replica.wait_serving();
     assert!(primary.request("ADD en Gandhi").starts_with("OK "));
-    wait_stats(&replica, "threaded replica catch-up", |s| {
-        stat(s, "repl_lag") == Some("0") && stat(s, "repl_connected") == Some("1")
-    });
+    wait_applied(&replica, "threaded replica catch-up", wal_lsn(&primary));
     let q = "MATCH en scan 0.45 Nehru";
     assert_eq!(replica.request(q), primary.request(q));
 }

@@ -8,10 +8,13 @@
 //! bijection (`id % N` → shard, `id / N` → local slot). The tests pin
 //! both facts: shard counts that divide the data evenly (2, 4) and one
 //! that doesn't (7), all four methods, and concurrent searchers racing
-//! the same store.
+//! the same store. The length-bucketed scan (DESIGN §5g) is pinned to
+//! the row-at-a-time reference at 1, 2 and 4 shards, on stores built by
+//! ADD and on stores loaded from an mmap image.
 
-use lexequal::{MatchConfig, NameStore, QgramMode, SearchMethod};
+use lexequal::{MatchConfig, NameStore, QgramMode, ScreenCounters, SearchMethod, Verifier};
 use lexequal_lexicon::Corpus;
+use lexequal_service::mmapstore;
 use lexequal_service::shard::{BuildSpec, ShardedStore};
 use std::sync::Arc;
 
@@ -133,4 +136,60 @@ fn concurrent_searchers_agree_with_sequential_answers() {
             });
         }
     });
+}
+
+/// The outcome counters a scan must reproduce per query; the `embed_*`
+/// overlays may differ (the bucket pass rejects rows before the
+/// embedding screen sees them).
+fn outcomes(c: ScreenCounters) -> [u64; 4] {
+    [c.fast_accept, c.fast_reject, c.full_dp, c.bypass]
+}
+
+/// The sharded scan — bucketed per shard — answers with the ids, the
+/// verification count and the per-query screen outcome totals of the
+/// unsharded row-at-a-time scan, at the paper's thresholds.
+fn assert_scan_matches_reference(reference: &NameStore, sharded: &ShardedStore, what: &str) {
+    for id in query_ids(reference.len()) {
+        let q = &reference.get(id).expect("valid id").phonemes;
+        for e in [0.25, 0.35, 0.45] {
+            let mut verifier = Verifier::new();
+            let want = reference.search_phonemes_with(q, e, SearchMethod::Scan, &mut verifier);
+            let before = sharded.screen_totals();
+            let got = sharded.search_phonemes(q, e, SearchMethod::Scan);
+            let after = sharded.screen_totals();
+            assert_eq!(got.ids, want.ids, "{what}: id {id} e={e}");
+            assert_eq!(
+                got.verifications, want.verifications,
+                "{what}: id {id} e={e}"
+            );
+            let delta = outcomes(after)
+                .iter()
+                .zip(outcomes(before))
+                .map(|(a, b)| a - b)
+                .collect::<Vec<_>>();
+            assert_eq!(
+                delta,
+                outcomes(verifier.take_counters()),
+                "{what}: screen outcomes for id {id} e={e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn bucketed_scan_matches_the_row_at_a_time_scan_at_every_shard_count() {
+    let rows = corpus_rows();
+    let reference = reference_store(&rows);
+    for shards in [1, 2, 4] {
+        let built = ShardedStore::new(MatchConfig::default(), shards);
+        built.extend(rows.iter().cloned()).expect("bulk load");
+        assert_scan_matches_reference(&reference, &built, &format!("{shards} shards"));
+
+        // The length index is not in the image: loading rebuilds it.
+        let image = mmapstore::encode(&built, 0).expect("encode");
+        let loaded = mmapstore::load_bytes(MatchConfig::default(), None, image).expect("load");
+        assert_eq!(loaded.store.len(), reference.len());
+        let what = format!("{shards} shards loaded from an image");
+        assert_scan_matches_reference(&reference, &loaded.store, &what);
+    }
 }

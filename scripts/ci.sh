@@ -13,73 +13,30 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== cargo clippy -p lexequal-service -p lexequal-mdb -D warnings"
-# The serving and snapshot crates get their own pass so a crate-local
-# change can't hide behind a cached workspace run.
-cargo clippy -p lexequal-service -p lexequal-mdb --all-targets --offline -- -D warnings
-
 echo "== cargo build --release"
 cargo build --workspace --release --offline
 
 echo "== cargo test"
 cargo test --workspace --offline -q
 
-echo "== evented serving: framing + 1024-connection soak"
-cargo test -p lexequal-service --offline -q --test framing --test evented_soak
+# `cargo test --workspace` above already runs every suite in the
+# default SIMD dispatch: evented framing + soak, snapshot and mmap
+# round trips and corruption batteries, WAL recovery, replication and
+# compaction e2e, untagged routing, the embed crate, and the batched /
+# bucketed verification differentials with the zero-alloc pins.
 
-echo "== snapshot persistence: round-trip equivalence + corrupt files + CLI"
-cargo test -p lexequal-service --offline -q --test snapshot_roundtrip --test cli_flags
-cargo test -p lexequal-mdb --offline -q snapshot
+echo "== verification differentials on the forced-scalar dispatch"
+# The batched and bucketed kernels must return bit-identical verdicts
+# to the scalar Verifier on every backend. This pass re-runs them in a
+# fresh process with the runtime dispatch pinned to the scalar DP
+# column (the OnceLock caches the level per process, so the override
+# needs its own invocation).
+LEXEQUAL_FORCE_SCALAR=1 cargo test -p lexequal --offline -q \
+    --test verify_batch_equiv --test bucketed_scan_equiv
 
-echo "== mmap store: hostile-binary battery + bit-identical round trip"
-# The binary format's own pass: clippy over the serving crate (where
-# mmapstore lives), the corruption battery (truncation sweep, header
-# byte sweep, OOB/misaligned sections, checksum flips — named errors,
-# zero panics), and the round-trip suite (save → mmap-load → full MATCH
-# battery vs the rebuilt store, both serve modes, replica raw-transfer).
-cargo clippy -p lexequal-service --all-targets --offline -- -D warnings
-cargo test -p lexequal-service --offline -q --test mmap_corruption --test mmap_roundtrip
-
-echo "== replication: WAL corruption matrix + primary/replica e2e"
-# repl_e2e includes the kill-primary / restart-from-snapshot+WAL cycle
-# through the real binary, asserting byte-identical MATCH answers.
-cargo test -p lexequal-service --offline -q --test wal_recovery --test repl_e2e
-
-echo "== WAL compaction: crash-state battery + bounded-log e2e"
-# wal_compaction replays recovery from every on-disk state the
-# checkpoint/rename/truncate protocol can crash in; compaction_e2e
-# soaks a capped WAL through >=3 cycles with a live replica and walks
-# SIGKILL across the compactor's cycle through the real binary.
-cargo test -p lexequal-service --offline -q --test wal_compaction --test compaction_e2e
-
-echo "== untagged queries: script routing + g2p + wire/replica e2e"
-# clippy over the new modules specifically, then the pinned goldens
-# (fan-out union, byte-identical unambiguous answers, NORESOURCE,
-# resolved-tag replication) over real sockets in both serve modes.
-cargo clippy -p lexequal-g2p --all-targets --offline -- -D warnings
-cargo test -p lexequal-g2p --offline -q
-cargo test -p lexequal-service --offline -q --test untagged
-
-echo "== batched verification: differential suite on both SIMD backends"
-# The batched kernel must return bit-identical verdicts to the scalar
-# Verifier on every access path, batch width and backend. The second
-# pass re-runs the suite in a fresh process with the runtime dispatch
-# pinned to the scalar DP column (the OnceLock caches the level per
-# process, so the override needs its own invocation).
-cargo clippy -p lexequal-matcher -p lexequal --all-targets --offline -- -D warnings
-cargo test -p lexequal --offline -q --test verify_batch_equiv --test verify_zero_alloc
-LEXEQUAL_FORCE_SCALAR=1 cargo test -p lexequal --offline -q --test verify_batch_equiv
-
-echo "== embedding prefilter: crate pass + differential suite + A/B smoke"
-# The embedding crate gets its own clippy pass; the differential suite
-# (screen on/off, byte-identical verdicts across widths, backends and
-# access paths) runs on both the SIMD and forced-scalar dispatch; the
-# A/B smoke run must report embed rejections without changing a single
-# answer (the bench asserts ids-identical internally).
-cargo clippy -p lexequal-embed --all-targets --offline -- -D warnings
-cargo test -p lexequal-embed --offline -q
-cargo test -p lexequal --offline -q --test verify_batch_equiv
-LEXEQUAL_FORCE_SCALAR=1 cargo test -p lexequal --offline -q --test verify_batch_equiv
+echo "== embedding prefilter A/B smoke"
+# Must report embed rejections without changing a single answer (the
+# bench asserts ids-identical internally).
 cargo run --release -p lexequal-service --offline --bin loadgen -- \
     --prefilter-bench --size 2000 --pool 16 \
     --prefilter-out results/prefilter_bench_ci.json
